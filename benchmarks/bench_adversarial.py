@@ -58,6 +58,14 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_adversarial.json"
 KEY_BITS = 24
 BITS_PER_KEY = 10.0
 SALT_SEED = 0x5EED_F17E
+#: Queries per store per round of the interleaved benign phase.
+BENIGN_CHUNK = 100
+#: (label, filter_salt_seed, quarantine) of the three configurations.
+CONFIGS = [
+    ("undefended", 0, False),
+    ("salted", SALT_SEED, False),
+    ("salted+quarantine", SALT_SEED, True),
+]
 
 
 def make_options(salt_seed: int, quarantine: bool) -> DBOptions:
@@ -90,10 +98,9 @@ def design_fpr(stored: list[int]) -> float:
     return reference.design_fpr() or 0.0
 
 
-def benign_phase(
-    db: DB, stored: list[int], probes: int, seed: int
-) -> tuple[float, float]:
-    """Mixed benign traffic; returns (observed_fpr, ops_per_second)."""
+def benign_queries(stored: list[int], probes: int, seed: int) -> list[int]:
+    """Mixed benign traffic: ``probes`` absent keys plus a quarter as many
+    present ones, shuffled."""
     rng = random.Random(seed)
     avoid = set(stored)
     absent = []
@@ -104,29 +111,62 @@ def benign_phase(
     present = [stored[rng.randrange(len(stored))] for _ in range(probes // 4)]
     queries = absent + present
     rng.shuffle(queries)
-    before = db.stats.snapshot()
-    started = time.perf_counter()
-    for key in queries:
-        db.get(key)
-    elapsed = time.perf_counter() - started
-    delta = db.stats.diff(before)
-    return delta.observed_fpr, len(queries) / max(elapsed, 1e-9)
+    return queries
+
+
+def benign_phase(
+    db: DB, stored: list[int], probes: int, seed: int
+) -> tuple[float, float]:
+    """Mixed benign traffic; returns (observed_fpr, ops_per_second)."""
+    return interleaved_benign_phase({"db": db}, stored, probes, seed)["db"]
+
+
+def interleaved_benign_phase(
+    dbs: dict[str, DB], stored: list[int], probes: int, seed: int
+) -> dict[str, tuple[float, float]]:
+    """Run the same benign traffic on every store, timed side by side.
+
+    The queries go in rounds of ``BENIGN_CHUNK``: each round runs the next
+    chunk on every store, rotating which store goes first, so host speed
+    drift during the phase lands on all stores alike and the throughput
+    ratio between configs measures the configs.  Each store still sees
+    exactly the query sequence :func:`benign_queries` gives.  Returns
+    ``{label: (observed_fpr, ops_per_second)}``.
+    """
+    queries = benign_queries(stored, probes, seed)
+    labels = list(dbs)
+    before = {label: dbs[label].stats.snapshot() for label in labels}
+    elapsed = dict.fromkeys(labels, 0.0)
+    for round_index, start in enumerate(range(0, len(queries), BENIGN_CHUNK)):
+        chunk = queries[start : start + BENIGN_CHUNK]
+        shift = round_index % len(labels)
+        for label in labels[shift:] + labels[:shift]:
+            db = dbs[label]
+            started = time.perf_counter()
+            for key in chunk:
+                db.get(key)
+            elapsed[label] += time.perf_counter() - started
+    return {
+        label: (
+            dbs[label].stats.diff(before[label]).observed_fpr,
+            len(queries) / max(elapsed[label], 1e-9),
+        )
+        for label in labels
+    }
 
 
 def run_config(
-    workdir: str,
+    db: DB,
     label: str,
     salt_seed: int,
     quarantine: bool,
     stored: list[int],
     sizes: dict,
+    benign: tuple[float, float],
 ) -> dict:
-    db = build_store(f"{workdir}/{label}", make_options(salt_seed, quarantine), stored)
+    """Attack, rebuild and replay one store whose benign phase has run."""
+    benign_fpr, benign_ops = benign
     try:
-        benign_fpr, benign_ops = benign_phase(
-            db, stored, sizes["benign_probes"], seed=11
-        )
-
         attacker = AdversarialAttacker(db, mode="oracle", seed=7, avoid=stored)
         before = db.stats.snapshot()
         report = attacker.run(
@@ -232,12 +272,21 @@ def run_matrix(smoke: bool) -> dict:
     stored = sorted(rng.sample(range(1 << KEY_BITS), sizes["num_keys"]))
     started = time.time()
     with tempfile.TemporaryDirectory(prefix="bench-adversarial-") as workdir:
+        dbs = {
+            label: build_store(
+                f"{workdir}/{label}", make_options(salt_seed, quarantine), stored
+            )
+            for label, salt_seed, quarantine in CONFIGS
+        }
+        benign = interleaved_benign_phase(
+            dbs, stored, sizes["benign_probes"], seed=11
+        )
         configs = [
-            run_config(workdir, "undefended", 0, False, stored, sizes),
-            run_config(workdir, "salted", SALT_SEED, False, stored, sizes),
             run_config(
-                workdir, "salted+quarantine", SALT_SEED, True, stored, sizes
-            ),
+                dbs[label], label, salt_seed, quarantine, stored, sizes,
+                benign[label],
+            )
+            for label, salt_seed, quarantine in CONFIGS
         ]
         blackbox = blackbox_section(workdir, stored, sizes)
     return {

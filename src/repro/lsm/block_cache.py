@@ -13,13 +13,18 @@ drains the low-priority pool before touching the high-priority one.  The
 cache is shared between foreground queries and background compaction
 reads, so every operation runs under one internal mutex — LRU reordering
 and the ``_used`` byte accounting are not safe to interleave.
+
+Entries are whatever the reader caches: raw bytes for index and filter
+blocks, parsed :class:`~repro.lsm.format.Block` objects for data blocks.
+Each is charged ``len(entry)``, which for a ``Block`` is its on-disk
+payload size, so capacity means the same thing for both.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable
+from typing import Hashable, Sized
 
 __all__ = ["BlockCache"]
 
@@ -32,9 +37,9 @@ class BlockCache:
             raise ValueError(f"capacity must be >= 0, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self._lock = threading.Lock()
-        self._low: OrderedDict[Hashable, bytes] = OrderedDict()
-        self._high: OrderedDict[Hashable, bytes] = OrderedDict()
-        self._pinned: dict[Hashable, bytes] = {}
+        self._low: OrderedDict[Hashable, Sized] = OrderedDict()
+        self._high: OrderedDict[Hashable, Sized] = OrderedDict()
+        self._pinned: dict[Hashable, Sized] = {}
         self._used = 0
         self.hits = 0
         self.misses = 0
@@ -42,7 +47,7 @@ class BlockCache:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, key: Hashable) -> bytes | None:
+    def get(self, key: Hashable) -> Sized | None:
         """Return the cached block or None; refreshes LRU position."""
         with self._lock:
             for pool in (self._pinned,):
@@ -63,7 +68,7 @@ class BlockCache:
     def put(
         self,
         key: Hashable,
-        block: bytes,
+        block: Sized,
         high_priority: bool = False,
         pinned: bool = False,
     ) -> None:

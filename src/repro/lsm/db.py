@@ -102,7 +102,7 @@ from repro.lsm.options import DBOptions
 from repro.lsm.perf_context import QueryContext
 from repro.lsm.scheduler import InlineScheduler, ThreadPoolScheduler
 from repro.lsm.sstable import SSTMeta, SSTReader, SSTWriter
-from repro.lsm.stats import PerfStats, Stopwatch
+from repro.lsm.stats import OpStats, PerfStats, Stopwatch
 from repro.lsm.version import Run, Version
 from repro.lsm.wal import BATCH_OP, WriteAheadLog, parse_wal_seq, wal_file_name
 from repro.lsm.write_batch import WriteBatch
@@ -305,8 +305,8 @@ class DB:
         #: Description of the background failure that degraded the store
         #: to read-only, or None when healthy (see :meth:`health`).
         self._background_error: str | None = None
-        #: Per-query performance context of the most recent read operation.
-        self.last_query: QueryContext | None = None
+        # Per-thread slot behind ``last_query``.
+        self._thread_local = threading.local()
         self._recover()
         # Only now start interleaving: recovery I/O runs before any job
         # exists, so it never consumes scheduler randomness.
@@ -1205,11 +1205,10 @@ class DB:
     def get(self, key: int) -> bytes | None:
         """Point lookup; returns None for absent or deleted keys."""
         self._check_open()
-        self.stats.add(point_queries=1)
         self.tracker.record_point_query()
         encoded = self._encode_key(key)
         context = QueryContext(kind="point", low=int(key), high=int(key))
-        before = self.stats.snapshot()
+        op = OpStats(point_queries=1)
         sv = self._ref_super()
         try:
             for memtable in sv.memtables():
@@ -1223,14 +1222,14 @@ class DB:
             runs = sv.version.runs_for_key(encoded)
             context.runs_considered = len(runs)
             for run in runs:
-                verdict = self._probe_filter_point(run, encoded)
+                verdict = self._probe_filter_point(run, encoded, op)
                 if not verdict:
                     continue
                 context.iterators_created += 1
-                found = run.reader.get(encoded)
+                found = run.reader.get(encoded, op)
                 truly_there = found is not None
                 self._record_filter_outcome(
-                    run, positive=True, truly=truly_there
+                    run, positive=True, truly=truly_there, stats=op
                 )
                 self.tracker.record_filter_outcome(True, truly_there)
                 if found is not None:
@@ -1239,18 +1238,18 @@ class DB:
                     return value if tag == ValueTag.PUT else None
             return None
         finally:
-            self._finish_context(context, before)
+            self._finish_context(context, op)
             self._unref_super(sv)
 
-    def _probe_filter_point(self, run: Run, encoded: bytes) -> bool:
-        filt = self._filter_dictionary.get_filter(run.reader, self.stats)
+    def _probe_filter_point(self, run: Run, encoded: bytes, op: OpStats) -> bool:
+        filt = self._filter_dictionary.get_filter(run.reader, op)
         if filt is None:
             return True  # fence pointers only
-        self.stats.add(filter_probes=1)
-        with Stopwatch(self.stats, "filter_probe_ns"):
+        op.add(filter_probes=1)
+        with Stopwatch(op, "filter_probe_ns"):
             verdict = filt.may_contain(self._decode_key(encoded))
         if not verdict:
-            self.stats.add(filter_negatives=1)
+            op.add(filter_negatives=1)
             self.tracker.record_filter_outcome(False, False)
             self._note_filter_outcome(run, negatives=1)
         return verdict
@@ -1273,7 +1272,9 @@ class DB:
         runs on exhaustion, ``close()``, or garbage collection; filter
         true/false-positive outcomes and ``last_query`` are recorded when
         the generator terminates (partial consumption records what the
-        scan actually observed).
+        scan actually observed).  The scan's counter deltas reach
+        ``stats`` each time control returns to the caller: when this call
+        returns, with every yielded entry, and when the stream ends.
 
         Validation is eager: a closed store or an inverted range raises
         here, at call time — not on the first ``next()`` — because this
@@ -1284,19 +1285,18 @@ class DB:
         self._check_open()
         if low > high:
             raise FilterQueryError(f"invalid range: low={low} > high={high}")
-        self.stats.add(range_queries=1)
         self.tracker.record_range_query(high - low + 1)
         low_bytes = self._encode_key(low)
         high_bytes = self._encode_key(min(high, (1 << self.options.key_bits) - 1))
         context = QueryContext(kind="range", low=low, high=high)
-        before = self.stats.snapshot()
+        op = OpStats(range_queries=1)
 
         sv = self._ref_super()
         try:
             candidates = sv.version.runs_for_range(low_bytes, high_bytes)
             context.runs_considered = len(candidates)
             positive_runs: list[tuple[Run, bytes]] = []
-            effectives = self._probe_filters_range(candidates, low, high)
+            effectives = self._probe_filters_range(candidates, low, high, op)
             for run, effective in zip(candidates, effectives):
                 if effective is not None:
                     seek_key = max(low_bytes, self._encode_key(effective[0]))
@@ -1306,16 +1306,18 @@ class DB:
             if not positive_runs and not live_memtables:
                 # "If all filters answer negative, we delete the iterator
                 # and return an empty result" — still a (small) residual cost.
-                with Stopwatch(self.stats, "residual_seek_ns"):
+                with Stopwatch(op, "residual_seek_ns"):
                     pass
-                self._finish_context(context, before)
+                self._finish_context(context, op)
                 self._unref_super(sv)
                 return iter(())
         except BaseException:
+            self._publish(context, op)
             self._unref_super(sv)
             raise
+        self._publish(context, op)
         return self._range_stream(
-            sv, context, before, positive_runs, live_memtables,
+            sv, context, op, positive_runs, live_memtables,
             low_bytes, high_bytes,
         )
 
@@ -1323,7 +1325,7 @@ class DB:
         self,
         sv: _SuperVersion,
         context: QueryContext,
-        before: PerfStats,
+        op: OpStats,
         positive_runs: list[tuple[Run, bytes]],
         live_memtables: list[MemTable],
         low_bytes: bytes,
@@ -1345,7 +1347,7 @@ class DB:
                     (
                         priority + offset,
                         self._tracking_iter(
-                            run, seek_key, high_bytes, contributed
+                            run, seek_key, high_bytes, contributed, op
                         ),
                     )
                 )
@@ -1356,31 +1358,49 @@ class DB:
                 # never the consumer's time between next() calls.
                 started = time.perf_counter_ns()
                 entry = next(merged, None)
-                self.stats.add(
-                    residual_seek_ns=time.perf_counter_ns() - started
-                )
+                op.add(residual_seek_ns=time.perf_counter_ns() - started)
                 if entry is None or entry[0] > high_bytes:
                     break
                 results += 1
+                self._publish(context, op)
                 yield self._decode_key(entry[0]), entry[1]
         finally:
             # Runs on exhaustion, close(), GC, or a consumer exception:
             # record what the scan observed, then release the pin.
             for run, _ in positive_runs:
                 truly = contributed[run.name]
-                self._record_filter_outcome(run, positive=True, truly=truly)
+                self._record_filter_outcome(
+                    run, positive=True, truly=truly, stats=op
+                )
                 self.tracker.record_filter_outcome(True, truly)
             context.results = results
-            self._finish_context(context, before)
+            self._finish_context(context, op)
             self._unref_super(sv)
 
-    def _finish_context(self, context: QueryContext, before: PerfStats) -> None:
-        delta = self.stats.diff(before)
-        context.filters_probed = delta.filter_probes
-        context.filter_negatives = delta.filter_negatives
-        context.blocks_read = delta.block_reads
-        context.block_cache_hits = delta.block_cache_hits
-        self.last_query = context
+    @property
+    def last_query(self) -> QueryContext | None:
+        """Context of the calling thread's most recent read operation."""
+        return getattr(self._thread_local, "last_query", None)
+
+    def _publish(self, context: QueryContext, op: OpStats) -> None:
+        """Fold an operation's pending deltas into ``stats`` and its context.
+
+        The one locked ``PerfStats.add`` a read pays for its counters; the
+        context's counters come from the same deltas, so they hold exactly
+        the operation's own work.
+        """
+        if not op:
+            return
+        self.stats.add(**op)
+        context.filters_probed += op.get("filter_probes", 0)
+        context.filter_negatives += op.get("filter_negatives", 0)
+        context.blocks_read += op.get("block_reads", 0)
+        context.block_cache_hits += op.get("block_cache_hits", 0)
+        op.clear()
+
+    def _finish_context(self, context: QueryContext, op: OpStats) -> None:
+        self._publish(context, op)
+        self._thread_local.last_query = context
 
     def _tracking_iter(
         self,
@@ -1388,15 +1408,16 @@ class DB:
         seek_key: bytes,
         high_bytes: bytes,
         contributed: dict[str, bool],
+        op: OpStats,
     ) -> Iterator[tuple[bytes, int, bytes]]:
         """Two-level iterator wrapper marking runs that had in-range keys."""
-        for key, tag, value in run.reader.iterate_from(seek_key):
+        for key, tag, value in run.reader.iterate_from(seek_key, op):
             if key <= high_bytes:
                 contributed[run.name] = True
             yield key, tag, value
 
     def _probe_filters_range(
-        self, runs: list[Run], low: int, high: int
+        self, runs: list[Run], low: int, high: int, op: OpStats
     ) -> list[tuple[int, int] | None]:
         """Probe every overlapping run's filter for ``[low, high]`` at once.
 
@@ -1408,30 +1429,31 @@ class DB:
         if not runs:
             return []
         filters = [
-            self._filter_dictionary.get_filter(run.reader, self.stats)
-            for run in runs
+            self._filter_dictionary.get_filter(run.reader, op) for run in runs
         ]
-        with Stopwatch(self.stats, "filter_probe_ns"):
+        with Stopwatch(op, "filter_probe_ns"):
             effectives, batch_sweeps = batched_tightened_ranges(
                 filters, low, high
             )
-        self.stats.add(filter_batch_probes=batch_sweeps)
+        op.add(filter_batch_probes=batch_sweeps)
         for run, filt, effective in zip(runs, filters, effectives):
             if filt is None:
                 continue  # fence pointers already said "overlaps"
-            self.stats.add(filter_probes=1)
+            op.add(filter_probes=1)
             if effective is None:
-                self.stats.add(filter_negatives=1)
+                op.add(filter_negatives=1)
                 self.tracker.record_filter_outcome(False, False)
                 self._note_filter_outcome(run, negatives=1)
         return effectives
 
-    def _record_filter_outcome(self, run: Run, positive: bool, truly: bool) -> None:
+    def _record_filter_outcome(
+        self, run: Run, positive: bool, truly: bool, stats: OpStats
+    ) -> None:
         if positive:
             if truly:
-                self.stats.add(filter_true_positives=1)
+                stats.add(filter_true_positives=1)
             else:
-                self.stats.add(filter_false_positives=1)
+                stats.add(filter_false_positives=1)
                 self._note_filter_outcome(run, false_positives=1)
 
     def _note_filter_outcome(
@@ -1492,7 +1514,7 @@ class DB:
         if not distinct:
             return {}
         encoded = [self._encode_key(key) for key in distinct]
-        self.stats.add(point_queries=len(distinct), multi_point_queries=1)
+        op = OpStats(point_queries=len(distinct), multi_point_queries=1)
         for _ in distinct:
             self.tracker.record_point_query()
         context = QueryContext(
@@ -1502,7 +1524,6 @@ class DB:
             keys_requested=requested,
             distinct_keys=len(distinct),
         )
-        before = self.stats.snapshot()
         values: dict[int, bytes | None] = {}
         sv = self._ref_super()
         try:
@@ -1533,17 +1554,17 @@ class DB:
                     continue
                 context.runs_considered += 1
                 verdicts = self._probe_filter_point_batch(
-                    run, [key for key, _ in group]
+                    run, [key for key, _ in group], op
                 )
                 resolved: set[int] = set()
                 for (key, enc), verdict in zip(group, verdicts):
                     if not verdict:
                         continue
                     context.iterators_created += 1
-                    found = run.reader.get(enc)
+                    found = run.reader.get(enc, op)
                     truly_there = found is not None
                     self._record_filter_outcome(
-                        run, positive=True, truly=truly_there
+                        run, positive=True, truly=truly_there, stats=op
                     )
                     self.tracker.record_filter_outcome(True, truly_there)
                     if found is not None:
@@ -1559,20 +1580,20 @@ class DB:
             context.results = sum(1 for v in results.values() if v is not None)
             return results
         finally:
-            self._finish_context(context, before)
+            self._finish_context(context, op)
             self._unref_super(sv)
 
     def _probe_filter_point_batch(
-        self, run: Run, keys: list[int]
+        self, run: Run, keys: list[int], op: OpStats
     ) -> Sequence[bool]:
         """Bulk sibling of :meth:`_probe_filter_point` for one run's group."""
-        filt = self._filter_dictionary.get_filter(run.reader, self.stats)
-        with Stopwatch(self.stats, "filter_probe_ns"):
+        filt = self._filter_dictionary.get_filter(run.reader, op)
+        with Stopwatch(op, "filter_probe_ns"):
             verdicts, batch_sweeps = batched_point_verdicts(filt, keys)
-        self.stats.add(filter_batch_probes=batch_sweeps)
+        op.add(filter_batch_probes=batch_sweeps)
         if filt is not None:
             negatives = len(keys) - sum(1 for v in verdicts if v)
-            self.stats.add(filter_probes=len(keys), filter_negatives=negatives)
+            op.add(filter_probes=len(keys), filter_negatives=negatives)
             for _ in range(negatives):
                 self.tracker.record_filter_outcome(False, False)
             if negatives:

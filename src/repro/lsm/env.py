@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, Callable, Optional
 
 from repro.errors import TransientIOError
-from repro.lsm.stats import PerfStats
+from repro.lsm.stats import OpStats, PerfStats
 
 __all__ = ["DeviceModel", "StorageEnv", "DEVICE_PRESETS"]
 
@@ -207,14 +207,27 @@ class StorageEnv:
         """
         self._yield(f"sync_file:{name}")
 
-    def read_block(self, name: str, offset: int, size: int) -> bytes:
+    def read_block(
+        self,
+        name: str,
+        offset: int,
+        size: int,
+        stats: PerfStats | OpStats | None = None,
+    ) -> bytes:
         """Random block read, charged at device latency.
 
         Transient failures (:class:`~repro.errors.TransientIOError`) are
         retried up to ``retry_attempts`` times with modeled exponential
-        backoff; permanent errors propagate immediately.
+        backoff; permanent errors propagate immediately.  The read, its
+        retries and its modeled time are charged to ``stats`` (a foreground
+        operation's own counters) or, by default, to the env's ``stats``.
         """
-        return self._retry_read(lambda: self._read_block_once(name, offset, size))
+        sink = self.stats if stats is None else stats
+        payload = self._retry_read(
+            lambda: self._read_block_once(name, offset, size), sink
+        )
+        self._charge_read(sink, len(payload))
+        return payload
 
     def _read_block_once(self, name: str, offset: int, size: int) -> bytes:
         """One unretried block read (the fault-injection override point).
@@ -230,40 +243,39 @@ class StorageEnv:
                 handle = open(self.path(name), "rb", buffering=0)
                 self._handles[name] = handle
             handle.seek(offset)
-            payload = handle.read(size)
-        self.stats.add(
-            block_reads=1,
-            block_read_bytes=len(payload),
-            block_read_time_ns=self.device.block_read_ns(len(payload)),
-        )
-        return payload
+            return handle.read(size)
 
     def read_file(self, name: str) -> bytes:
         """Read a whole file (recovery paths), charged as one big read."""
-        return self._retry_read(lambda: self._read_file_once(name))
+        payload = self._retry_read(lambda: self._read_file_once(name), self.stats)
+        self._charge_read(self.stats, len(payload))
+        return payload
 
     def _read_file_once(self, name: str) -> bytes:
         with open(self.path(name), "rb") as handle:
-            payload = handle.read()
-        self.stats.add(
-            block_reads=1,
-            block_read_bytes=len(payload),
-            block_read_time_ns=self.device.block_read_ns(len(payload)),
-        )
-        return payload
+            return handle.read()
 
-    def _retry_read(self, op: Callable[[], bytes]) -> bytes:
+    def _charge_read(self, sink: PerfStats | OpStats, num_bytes: int) -> None:
+        sink.add(
+            block_reads=1,
+            block_read_bytes=num_bytes,
+            block_read_time_ns=self.device.block_read_ns(num_bytes),
+        )
+
+    def _retry_read(
+        self, op: Callable[[], bytes], sink: PerfStats | OpStats
+    ) -> bytes:
         attempt = 0
         while True:
             try:
                 return op()
             except TransientIOError:
-                self.stats.add(io_transient_errors=1)
+                sink.add(io_transient_errors=1)
                 if attempt >= self.retry_attempts:
                     raise
                 # Modeled backoff (no real sleep): doubles per attempt and
                 # lands in the same bucket as device latency.
-                self.stats.add(
+                sink.add(
                     io_retries=1,
                     block_read_time_ns=self.retry_backoff_ns << attempt,
                 )

@@ -27,7 +27,7 @@ from repro.errors import SerializationError
 from repro.filters.base import KeyFilter, deserialize_filter
 from repro.filters.rosetta_adapter import RosettaFilter
 from repro.lsm.sstable import SSTReader
-from repro.lsm.stats import PerfStats, Stopwatch
+from repro.lsm.stats import OpStats, PerfStats, Stopwatch
 
 __all__ = [
     "FilterDictionary",
@@ -78,7 +78,9 @@ class FilterDictionary:
         # Design FPR published by each run's filter, cached at fetch time.
         self._design_fpr: dict[str, float] = {}
 
-    def get_filter(self, reader: SSTReader, stats: PerfStats) -> KeyFilter | None:
+    def get_filter(
+        self, reader: SSTReader, stats: PerfStats | OpStats
+    ) -> KeyFilter | None:
         """Fetch (and memoize) the deserialized filter of an SST.
 
         Returns None when the SST carries no filter block — or when its
@@ -93,7 +95,7 @@ class FilterDictionary:
             cached = self._filters.get(name)
             if cached is not None:
                 return cached
-            envelope = reader.filter_block_bytes()
+            envelope = reader.filter_block_bytes(stats)
             if not envelope:
                 return None
             try:

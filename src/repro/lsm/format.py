@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 import struct
 import zlib
+from bisect import bisect_right
 from typing import Iterator, NamedTuple
 
 from repro.errors import CorruptionError
@@ -29,6 +30,7 @@ __all__ = [
     "encode_varint",
     "decode_varint",
     "DataBlockBuilder",
+    "Block",
     "decode_data_block",
     "encode_index_block",
     "decode_index_block",
@@ -150,40 +152,149 @@ class DataBlockBuilder:
         return bytes(out)
 
 
+class Block:
+    """One CRC-verified data block, parsed on demand.
+
+    Construction is the block's only integrity check: it verifies the
+    CRC32 and the restart array and decodes the full key stored at every
+    restart point (one key per ``restart_interval`` entries).  The object
+    is immutable afterwards, so the block cache hands the same instance to
+    every reader and a cache hit pays no re-verification.
+
+    :meth:`get` binary-searches the restart keys and parses at most one
+    restart interval; :meth:`entries_from` starts at the restart point at
+    or before its seek key and decodes lazily; ``len(block)`` is the
+    on-disk payload size, which is what the block cache charges.
+    """
+
+    __slots__ = ("_payload", "_limit", "_restarts", "_restart_keys", "num_entries")
+
+    def __init__(self, payload: bytes) -> None:
+        if len(payload) < 16:
+            raise CorruptionError("data block too small")
+        crc_at = len(payload) - 4
+        (crc,) = struct.unpack_from("<I", payload, crc_at)
+        if zlib.crc32(memoryview(payload)[:crc_at]) != crc:
+            raise CorruptionError("data block checksum mismatch")
+        num_restarts, num_entries = struct.unpack_from("<II", payload, crc_at - 8)
+        limit = crc_at - 8 - 4 * num_restarts
+        if limit < 0:
+            raise CorruptionError("data block restart array overflow")
+        restarts = struct.unpack_from(f"<{num_restarts}I", payload, limit)
+        if (num_restarts == 0) != (limit == 0) or (restarts and restarts[0] != 0):
+            raise CorruptionError("data block restart array malformed")
+        restart_keys = []
+        for at, end in zip(restarts, restarts[1:] + (limit,)):
+            # A restart entry shares nothing: a zero byte, then the key
+            # and value lengths, the tag, and the whole key.
+            if at >= end or payload[at]:
+                raise CorruptionError("data block restart entry malformed")
+            key_len = payload[at + 1]
+            at += 2
+            if key_len >= 0x80:
+                key_len, at = decode_varint(payload, at - 1)
+            while payload[at] >= 0x80:  # skip the value length
+                at += 1
+            at += 2
+            if at + key_len > end:
+                raise CorruptionError("data block restart entry malformed")
+            restart_keys.append(payload[at : at + key_len])
+        self._payload = payload
+        self._limit = limit
+        self._restarts = restarts
+        self._restart_keys = restart_keys
+        self.num_entries = num_entries
+
+    def __len__(self) -> int:
+        return len(self._payload)
+
+    def __iter__(self) -> Iterator[tuple[bytes, int, bytes]]:
+        return self._decode(0)
+
+    def get(self, key: bytes) -> tuple[int, bytes] | None:
+        """``(tag, value)`` of ``key``, or None; parses one restart interval."""
+        index = bisect_right(self._restart_keys, key) - 1
+        if index < 0:
+            return None
+        end = (
+            self._restarts[index + 1]
+            if index + 1 < len(self._restarts)
+            else self._limit
+        )
+        for entry_key, tag, value in self._decode(self._restarts[index], end):
+            if entry_key >= key:
+                return (tag, value) if entry_key == key else None
+        return None
+
+    def entries_from(self, key: bytes) -> Iterator[tuple[bytes, int, bytes]]:
+        """Entries with key >= ``key``, in order, decoded lazily."""
+        index = bisect_right(self._restart_keys, key) - 1
+        entries = self._decode(self._restarts[index] if index > 0 else 0)
+        for entry in entries:
+            if entry[0] >= key:
+                yield entry
+                break
+        yield from entries
+
+    def entries(self) -> list[tuple[bytes, int, bytes]]:
+        """Every entry, checked against the block's advertised count."""
+        entries = list(self._decode(0))
+        if len(entries) != self.num_entries:
+            raise CorruptionError(
+                f"data block advertised {self.num_entries} entries, "
+                f"decoded {len(entries)}"
+            )
+        return entries
+
+    def _decode(
+        self, offset: int, end: int | None = None
+    ) -> Iterator[tuple[bytes, int, bytes]]:
+        """Decode entries from the restart point at ``offset`` up to ``end``.
+
+        One-byte varints (every length below 128) are read inline; longer
+        ones fall back to :func:`decode_varint`.
+        """
+        payload = self._payload
+        end = self._limit if end is None else end
+        last_key = b""
+        while offset < end:
+            shared = payload[offset]
+            if shared < 0x80:
+                offset += 1
+            else:
+                shared, offset = decode_varint(payload, offset)
+            key_len = payload[offset]
+            if key_len < 0x80:
+                offset += 1
+            else:
+                key_len, offset = decode_varint(payload, offset)
+            value_len = payload[offset]
+            if value_len < 0x80:
+                offset += 1
+            else:
+                value_len, offset = decode_varint(payload, offset)
+            tag = payload[offset]
+            offset += 1
+            key_end = offset + key_len
+            key = (
+                last_key[:shared] + payload[offset:key_end]
+                if shared
+                else payload[offset:key_end]
+            )
+            offset = key_end + value_len
+            yield key, tag, payload[key_end:offset]
+            last_key = key
+        if offset != end:
+            raise CorruptionError("data block entry overruns its region")
+
+
 def decode_data_block(payload: bytes) -> list[tuple[bytes, int, bytes]]:
     """Decode a data block into ``[(key, tag, value), ...]``.
 
-    Verifies the trailing CRC32 and reconstructs prefix-compressed keys.
+    Verifies the trailing CRC32 and the advertised entry count, and
+    reconstructs prefix-compressed keys (see :class:`Block`).
     """
-    if len(payload) < 16:
-        raise CorruptionError("data block too small")
-    body, crc_bytes = payload[:-4], payload[-4:]
-    if zlib.crc32(body) != struct.unpack("<I", crc_bytes)[0]:
-        raise CorruptionError("data block checksum mismatch")
-    num_restarts, num_entries = struct.unpack("<II", body[-8:])
-    restart_array_start = len(body) - 8 - 4 * num_restarts
-    if restart_array_start < 0:
-        raise CorruptionError("data block restart array overflow")
-    entries: list[tuple[bytes, int, bytes]] = []
-    offset = 0
-    last_key = b""
-    while offset < restart_array_start:
-        shared, offset = decode_varint(body, offset)
-        unshared_len, offset = decode_varint(body, offset)
-        value_len, offset = decode_varint(body, offset)
-        tag = body[offset]
-        offset += 1
-        key = last_key[:shared] + body[offset : offset + unshared_len]
-        offset += unshared_len
-        value = body[offset : offset + value_len]
-        offset += value_len
-        entries.append((key, tag, value))
-        last_key = key
-    if len(entries) != num_entries:
-        raise CorruptionError(
-            f"data block advertised {num_entries} entries, decoded {len(entries)}"
-        )
-    return entries
+    return Block(payload).entries()
 
 
 def encode_index_block(

@@ -3,8 +3,10 @@
 ``PerfStats`` aggregates over a DB's lifetime; debugging a *single* slow
 query needs per-operation numbers: how many runs were considered, how many
 filters answered negative, how many blocks were actually read.  The DB
-fills one :class:`QueryContext` per read operation and exposes the most
-recent via ``db.last_query``.
+fills one :class:`QueryContext` per read operation from that operation's
+own counter deltas (never from a diff of the shared counters, which other
+threads and background jobs move too) and exposes the calling thread's
+most recent one via ``db.last_query``.
 
 The paper's §4 discussion ("the number of iterators is equal to the number
 of SST files") is directly observable here: ``iterators_created`` counts

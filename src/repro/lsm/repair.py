@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError, StoreError
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
-from repro.lsm.format import decode_data_block
 from repro.lsm.options import DBOptions
 from repro.lsm.sstable import SSTMeta, SSTReader
 
@@ -67,9 +66,7 @@ def _probe_sst(env: StorageEnv, name: str, options: DBOptions) -> int:
     reader = SSTReader(env, meta, options, BlockCache(0))
     entries = 0
     for block_index in range(reader.num_data_blocks()):
-        _, handle = reader._fence_pointers[block_index]  # noqa: SLF001
-        payload = reader._read_block(handle, cacheable=False)  # noqa: SLF001
-        entries += len(decode_data_block(payload))
+        entries += len(reader.data_block(block_index, cacheable=False).entries())
     envelope = reader.filter_block_bytes()
     if envelope:
         deserialize_filter(envelope)  # envelope CRC failures surface here

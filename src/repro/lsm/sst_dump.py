@@ -19,7 +19,7 @@ from repro.errors import ReproError
 from repro.filters.base import deserialize_filter
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
-from repro.lsm.format import ValueTag, decode_data_block
+from repro.lsm.format import ValueTag
 from repro.lsm.options import DBOptions
 from repro.lsm.sstable import SSTMeta, SSTReader
 
@@ -70,10 +70,9 @@ def summarize_sst(
         block_entry_counts: list[int] = []
         min_key = max_key = b""
         for block_index in range(reader.num_data_blocks()):
-            _, handle = reader._fence_pointers[block_index]  # noqa: SLF001
-            payload = reader._read_block(handle, cacheable=False)  # noqa: SLF001
-            decoded = decode_data_block(payload)
-            data_bytes += handle.size
+            block = reader.data_block(block_index, cacheable=False)
+            decoded = block.entries()
+            data_bytes += len(block)
             block_entry_counts.append(len(decoded))
             entries += len(decoded)
             tombstones += sum(1 for _, tag, _ in decoded if tag == ValueTag.DELETE)

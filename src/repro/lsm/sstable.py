@@ -21,11 +21,9 @@ path that touches the file.
 from __future__ import annotations
 
 import struct
-import threading
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.core.hashing import derive_filter_salt
 from repro.errors import CorruptionError, FilterBuildError
@@ -33,24 +31,20 @@ from repro.filters.base import FilterFactory, KeyFilter, serialize_envelope
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.env import StorageEnv
 from repro.lsm.format import (
+    Block,
     BlockHandle,
     DataBlockBuilder,
     ValueTag,
-    decode_data_block,
+    decode_data_block,  # noqa: F401 - patched by name in perfbench/tracer.py
     decode_index_block,
     encode_index_block,
     sst_file_number,
 )
 from repro.lsm.options import DBOptions
-from repro.lsm.stats import Stopwatch
+from repro.lsm.stats import OpStats, PerfStats, Stopwatch
 
 _FOOTER = struct.Struct("<QQQQQQI")
 _MAGIC = 0x524F5345  # "ROSE"
-
-# Parsed data blocks memoized per reader (entry lists are ~10x the work of
-# the raw block fetch).  Bounded: a point-lookup storm over one file keeps
-# at most this many blocks' decoded entries alive.
-_MAX_DECODED_BLOCKS = 16
 
 __all__ = ["SSTWriter", "SSTReader", "SSTMeta"]
 
@@ -245,19 +239,18 @@ class SSTReader:
         index_payload = self._read_metadata_block(self._index_handle)
         self._fence_pointers = decode_index_block(index_payload)
         self._fence_keys = [key for key, _ in self._fence_pointers]
-        # offset -> (payload, entries); valid only while the block cache
-        # still returns the identical payload object (see _decode_data_block).
-        # Shared by foreground queries and background compaction reads.
-        self._decoded_lock = threading.Lock()
-        self._decoded_blocks: OrderedDict[int, tuple[bytes, list]] = OrderedDict()
 
     # ------------------------------------------------------------------
     # Block access
     # ------------------------------------------------------------------
-    def _read_metadata_block(self, handle: BlockHandle) -> bytes:
+    def _read_metadata_block(
+        self, handle: BlockHandle, stats: PerfStats | OpStats | None = None
+    ) -> bytes:
         """Read an index/filter block with metadata cache priority."""
         return self._read_block(
             handle,
+            bytes,
+            stats,
             high_priority=self._options.cache_index_and_filter_blocks_with_high_priority,
             pinned=(
                 self._is_level0
@@ -269,87 +262,91 @@ class SSTReader:
     def _read_block(
         self,
         handle: BlockHandle,
+        parse: Callable[[bytes], object],
+        stats: PerfStats | OpStats | None,
         high_priority: bool = False,
         pinned: bool = False,
         cacheable: bool = True,
-    ) -> bytes:
+    ):
+        """Cached block fetch; ``parse`` turns a device read into the entry.
+
+        The cache holds what ``parse`` returns, so a data block is verified
+        and indexed once per device read.  Hits, misses and the read itself
+        are charged to ``stats`` (a foreground operation's own counters),
+        or to the env's lifetime counters when it is None.
+        """
+        sink = self._env.stats if stats is None else stats
         cache_key = (self.meta.name, handle.offset)
         if cacheable:
             cached = self._cache.get(cache_key)
             if cached is not None:
-                self._env.stats.add(block_cache_hits=1)
+                sink.add(block_cache_hits=1)
                 return cached
-            self._env.stats.add(block_cache_misses=1)
-        payload = self._env.read_block(self.meta.name, handle.offset, handle.size)
+            sink.add(block_cache_misses=1)
+        block = parse(
+            self._env.read_block(self.meta.name, handle.offset, handle.size, sink)
+        )
         if cacheable:
-            self._cache.put(cache_key, payload, high_priority, pinned)
-        return payload
+            self._cache.put(cache_key, block, high_priority, pinned)
+        return block
 
-    def filter_block_bytes(self) -> bytes:
+    def data_block(
+        self,
+        block_index: int,
+        *,
+        cacheable: bool = True,
+        stats: PerfStats | OpStats | None = None,
+    ) -> Block:
+        """The ``block_index``-th data block as a CRC-verified :class:`Block`.
+
+        Raises :class:`~repro.errors.CorruptionError` when the bytes on disk
+        fail verification.  ``cacheable=False`` reads around the cache (the
+        offline tools use it to see the file, not what is resident).
+        """
+        _, handle = self._fence_pointers[block_index]
+        return self._read_block(handle, Block, stats, cacheable=cacheable)
+
+    def filter_block_bytes(self, stats: PerfStats | OpStats | None = None) -> bytes:
         """Raw serialized filter envelope (empty if the SST has no filter)."""
         if self._filter_handle.size == 0:
             return b""
-        return self._read_metadata_block(self._filter_handle)
+        return self._read_metadata_block(self._filter_handle, stats)
 
     # ------------------------------------------------------------------
     # Point lookups
     # ------------------------------------------------------------------
-    def get(self, key: bytes) -> tuple[int, bytes] | None:
-        """Return ``(tag, value)`` or None; reads at most one data block."""
+    def get(
+        self, key: bytes, stats: PerfStats | OpStats | None = None
+    ) -> tuple[int, bytes] | None:
+        """Return ``(tag, value)`` or None; reads at most one data block.
+
+        Within the block, a binary search over the restart keys picks the
+        one restart interval that can hold ``key``; only that is parsed.
+        """
         if not self.meta.min_key <= key <= self.meta.max_key:
             return None
         block_index = bisect_left(self._fence_keys, key)
-        if block_index >= len(self._fence_pointers):
+        if block_index >= len(self._fence_keys):
             return None
-        entries = self._decode_data_block(block_index)
-        position = bisect_left(entries, key, key=lambda e: e[0])
-        if position < len(entries) and entries[position][0] == key:
-            _, tag, value = entries[position]
-            return tag, value
-        return None
-
-    def _decode_data_block(self, block_index: int) -> list[tuple[bytes, int, bytes]]:
-        """Fetch and parse one data block, memoizing the parsed entries.
-
-        The memo key is the *identity* of the payload ``_read_block``
-        returns: a block-cache hit hands back the same bytes object, so the
-        varint parse is skipped; a device read (cache miss, eviction, or
-        cache disabled) produces a fresh object and re-decodes.  Cache-hit /
-        device-read accounting is therefore untouched — only the redundant
-        re-parse of an already-resident block is elided.
-        """
-        _, handle = self._fence_pointers[block_index]
-        payload = self._read_block(handle)
-        with self._decoded_lock:
-            memo = self._decoded_blocks.get(handle.offset)
-            if memo is not None and memo[0] is payload:
-                self._decoded_blocks.move_to_end(handle.offset)
-                return memo[1]
-        entries = decode_data_block(payload)
-        with self._decoded_lock:
-            self._decoded_blocks[handle.offset] = (payload, entries)
-            self._decoded_blocks.move_to_end(handle.offset)
-            if len(self._decoded_blocks) > _MAX_DECODED_BLOCKS:
-                self._decoded_blocks.popitem(last=False)
-        return entries
+        return self.data_block(block_index, stats=stats).get(key)
 
     # ------------------------------------------------------------------
     # Iteration (the two-level iterator)
     # ------------------------------------------------------------------
-    def iterate_from(self, key: bytes) -> Iterator[tuple[bytes, int, bytes]]:
+    def iterate_from(
+        self, key: bytes, stats: PerfStats | OpStats | None = None
+    ) -> Iterator[tuple[bytes, int, bytes]]:
         """Yield entries with key >= ``key``, in order, across blocks.
 
         This is the child-iterator pair of RocksDB's two-level iterator:
         an index cursor choosing data blocks and a block cursor scanning
-        entries; each data block is fetched lazily.
+        entries; each data block is fetched lazily, and the first one is
+        decoded from the restart point at or before ``key``.
         """
         first = bisect_left(self._fence_keys, key)
-        for block_index in range(first, len(self._fence_pointers)):
-            entries = self._decode_data_block(block_index)
-            start = 0
-            if block_index == first:
-                start = bisect_left(entries, key, key=lambda e: e[0])
-            yield from entries[start:]
+        for block_index in range(first, len(self._fence_keys)):
+            block = self.data_block(block_index, stats=stats)
+            yield from block.entries_from(key) if block_index == first else block
 
     def num_data_blocks(self) -> int:
         """Number of data blocks (fence-pointer entries)."""

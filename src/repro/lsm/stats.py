@@ -20,6 +20,11 @@ bump the same counter set concurrently, so every mutation goes through
 ``snapshot``/``diff`` take the same lock and therefore observe a
 consistent cut even while workers are running.
 
+A foreground read does not touch the lifetime counters while it runs: it
+charges an :class:`OpStats` of its own, which the DB folds into
+``PerfStats`` with one locked ``add`` when the operation ends, so a
+query's counts never include another thread's work.
+
 :class:`Stopwatch` is the measuring primitive (mirrors RocksDB's internal
 ``stopwatch()`` support).
 """
@@ -32,7 +37,7 @@ from dataclasses import dataclass, fields
 
 from repro.core.tuning import observed_fpr as _observed_fpr
 
-__all__ = ["PerfStats", "Stopwatch"]
+__all__ = ["OpStats", "PerfStats", "Stopwatch"]
 
 
 @dataclass
@@ -184,6 +189,24 @@ class PerfStats:
         return (self.compaction_time_ns / 1000.0) / moved
 
 
+class OpStats(dict):
+    """Counter deltas of one foreground operation: name -> delta.
+
+    Has the signature of :meth:`PerfStats.add`, so the read path,
+    :class:`Stopwatch` and the storage env charge it exactly as they would
+    the lifetime counters.  It takes no lock: one operation runs on one
+    thread, and the DB folds it into ``PerfStats`` when the operation ends.
+    """
+
+    __slots__ = ()
+
+    def add(self, **deltas: int) -> None:
+        """Add ``deltas`` to the named counters."""
+        get = self.get
+        for name, delta in deltas.items():
+            self[name] = get(name, 0) + delta
+
+
 class Stopwatch:
     """Context manager accumulating elapsed wall time into a stats field.
 
@@ -194,7 +217,7 @@ class Stopwatch:
 
     __slots__ = ("_stats", "_field", "_start")
 
-    def __init__(self, stats: PerfStats, field_name: str) -> None:
+    def __init__(self, stats: PerfStats | OpStats, field_name: str) -> None:
         self._stats = stats
         self._field = field_name
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.filters.base import deserialize_filter
-from repro.lsm.format import decode_data_block
 from repro.lsm.version import Run, Version
 
 __all__ = ["VerificationReport", "verify_version"]
@@ -67,11 +66,9 @@ def _verify_run(run: Run, report: VerificationReport) -> None:
 
     previous_key: bytes | None = None
     entry_count = 0
-    for block_index in range(reader.num_data_blocks()):
-        fence_key, handle = reader._fence_pointers[block_index]  # noqa: SLF001
+    for block_index, fence_key in enumerate(reader.fence_keys()):
         try:
-            payload = reader._read_block(handle)  # noqa: SLF001
-            entries = decode_data_block(payload)
+            entries = reader.data_block(block_index).entries()
         except ReproError as exc:
             report.add_error(f"{name} block {block_index}", str(exc))
             continue

@@ -8,6 +8,7 @@ priorities implement shadowing; compaction swaps file sets atomically.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.errors import StoreError
@@ -52,6 +53,12 @@ class Version:
 
     level0: list[Run] = field(default_factory=list)  # newest first
     levels: dict[int, list[Run]] = field(default_factory=dict)  # level -> sorted runs
+    # level -> (run list it describes, its max keys if sorted and disjoint,
+    # else None).  Every edit assigns a fresh list, so a stale entry is
+    # recognised by identity and rebuilt on the next point lookup.
+    _key_index: dict[int, tuple[list[Run], list[bytes] | None]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Mutation
@@ -194,8 +201,37 @@ class Version:
         return [run for run in self.all_runs_newest_first() if run.overlaps(low, high)]
 
     def runs_for_key(self, key: bytes) -> list[Run]:
-        """Runs that may hold ``key``, newest first."""
-        return self.runs_for_range(key, key)
+        """Runs that may hold ``key``, newest first.
+
+        L0 files overlap, so each is checked; a sorted, disjoint level
+        holds at most one candidate, found by binary search on its runs'
+        max keys.  Tiered levels whose groups overlap fall back to a scan.
+        """
+        runs = [run for run in self.level0 if run.overlaps(key, key)]
+        for level in sorted(self.levels):
+            level_runs = self.levels[level]
+            max_keys = self._max_keys_if_disjoint(level, level_runs)
+            if max_keys is None:
+                runs.extend(run for run in level_runs if run.overlaps(key, key))
+                continue
+            index = bisect_left(max_keys, key)
+            if index < len(level_runs) and level_runs[index].reader.meta.min_key <= key:
+                runs.append(level_runs[index])
+        return runs
+
+    def _max_keys_if_disjoint(
+        self, level: int, runs: list[Run]
+    ) -> list[bytes] | None:
+        cached = self._key_index.get(level)
+        if cached is not None and cached[0] is runs:
+            return cached[1]
+        metas = [run.reader.meta for run in runs]
+        disjoint = all(
+            left.max_key < right.min_key for left, right in zip(metas, metas[1:])
+        )
+        max_keys = [meta.max_key for meta in metas] if disjoint else None
+        self._key_index[level] = (runs, max_keys)
+        return max_keys
 
     def total_files(self) -> int:
         """Number of live SST files."""

@@ -1,11 +1,14 @@
 """Unit tests for on-disk block encodings."""
 
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
 from repro.lsm.format import (
+    Block,
     BlockHandle,
     DataBlockBuilder,
     ValueTag,
@@ -152,3 +155,71 @@ def test_property_data_block_roundtrip(entries, restart):
     for key, tag, value in entries:
         builder.add(key, tag, value)
     assert decode_data_block(builder.finish()) == entries
+
+
+@st.composite
+def _block_entries(draw):
+    """Sorted entries whose keys share a prefix of up to 160 bytes.
+
+    Prefixes past 127 bytes and values past 127 bytes take the multi-byte
+    varint paths; empty values and tombstones are common.
+    """
+    prefix = draw(st.binary(max_size=160))
+    suffixes = draw(
+        st.lists(st.binary(min_size=1, max_size=4), min_size=1, max_size=80, unique=True)
+    )
+    keys = sorted(prefix + suffix for suffix in suffixes)
+    values = st.one_of(
+        st.just(b""), st.binary(max_size=8), st.binary(min_size=120, max_size=160)
+    )
+    tags = st.sampled_from([ValueTag.PUT, ValueTag.DELETE])
+    return [(key, draw(tags), draw(values)) for key in keys]
+
+
+def _probe_keys(keys, extra):
+    """Keys before the first entry, on and between entries, after the last."""
+    probes = {b"", keys[0][:-1], keys[-1] + b"\xff", *extra}
+    for key in keys:
+        probes.update((key, key + b"\x00", key[:-1] + b"\xff"))
+    return sorted(probes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=_block_entries(),
+    restart=st.sampled_from([1, 2, 16, 64]),
+    extra=st.lists(st.binary(max_size=170), max_size=8),
+)
+def test_property_block_seek_matches_full_decode(entries, restart, extra):
+    builder = DataBlockBuilder(restart_interval=restart)
+    for key, tag, value in entries:
+        builder.add(key, tag, value)
+    payload = builder.finish()
+    decoded = decode_data_block(payload)
+    assert decoded == entries
+    keys = [key for key, _, _ in decoded]
+    block = Block(payload)
+    assert len(block) == len(payload)
+    assert list(block) == decoded
+    for probe in _probe_keys(keys, extra):
+        at = bisect_left(keys, probe)
+        expected = decoded[at][1:] if at < len(keys) and keys[at] == probe else None
+        assert block.get(probe) == expected
+        assert list(block.entries_from(probe)) == decoded[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=_block_entries(),
+    restart=st.sampled_from([1, 2, 16, 64]),
+    data=st.data(),
+)
+def test_property_block_rejects_any_byte_flip(entries, restart, data):
+    builder = DataBlockBuilder(restart_interval=restart)
+    for key, tag, value in entries:
+        builder.add(key, tag, value)
+    payload = bytearray(builder.finish())
+    position = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+    payload[position] ^= data.draw(st.integers(min_value=1, max_value=255))
+    with pytest.raises(CorruptionError):
+        Block(bytes(payload))

@@ -1,6 +1,8 @@
 """Unit tests for the merging iterator and level/run metadata."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StoreError
 from repro.lsm.format import ValueTag
@@ -169,3 +171,57 @@ class TestVersion:
         cleared = version.clear_level0()
         assert len(cleared) == 1
         assert version.level0 == []
+
+
+def _linear_runs_for_key(version, key):
+    """The selection ``runs_for_key`` replaced: every run, span-checked."""
+    return [run for run in version.all_runs_newest_first() if run.overlaps(key, key)]
+
+
+def _k(value):
+    return value.to_bytes(2, "big")
+
+
+_spans = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(0, 40)), max_size=6
+)
+
+
+def _disjoint(spans, prefix, level):
+    """Sorted, non-overlapping runs cut from ``spans`` (empty gaps dropped)."""
+    runs, floor = [], 0
+    for index, (gap, width) in enumerate(spans):
+        low = floor + gap
+        runs.append(_run(f"{prefix}{index}", _k(low), _k(low + width), level))
+        floor = low + width + 1
+    return runs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    level0=_spans,
+    leveled=st.lists(_spans, max_size=3),
+    tiered_groups=st.lists(_spans, max_size=3),
+    replacement=_spans,
+    probes=st.lists(st.integers(0, 3_000), min_size=1, max_size=30),
+)
+def test_runs_for_key_matches_linear_selection(
+    level0, leveled, tiered_groups, replacement, probes
+):
+    version = Version()
+    for index, (low, width) in enumerate(level0):
+        version.add_level0(_run(f"l0-{index}", _k(low), _k(low + width), 0))
+    for depth, spans in enumerate(leveled, start=1):
+        version.install_level(depth, _disjoint(spans, f"L{depth}-", depth))
+    tiered = len(leveled) + 1
+    for group, spans in enumerate(tiered_groups):  # groups may overlap
+        runs = _disjoint(spans, f"T{group}-", tiered)
+        if runs:
+            version.prepend_group(tiered, runs)
+    keys = [_k(probe) for probe in probes]
+    for key in keys:
+        assert version.runs_for_key(key) == _linear_runs_for_key(version, key)
+    # An edit after lookups must not serve a stale level index.
+    version.install_level(1, _disjoint(replacement, "R-", 1))
+    for key in keys:
+        assert version.runs_for_key(key) == _linear_runs_for_key(version, key)
